@@ -7,7 +7,8 @@ job runs them alongside the ``repro perf --check`` regression gate.
 These are *smoke* tests, not the gate itself: they assert the harness
 measures the right things (shape, determinism, the fleet floor from the
 issue — ≥64 nodes, ≥100k keys per cycle) under a generous wall budget,
-while the events/sec regression threshold lives in ``compare_entries``
+while the events/sec regression threshold lives in the ``kernel`` spec of
+``repro.analysis.benchgate`` (tested in ``tests/analysis/test_benchgate.py``)
 against the checked-in ``BENCH_kernel.json``.
 """
 
@@ -20,7 +21,6 @@ import pytest
 
 from repro.workloads.perf import (
     SCENARIO_NAMES,
-    compare_entries,
     run_fleet_smoke,
     run_perf,
     run_scenario,
@@ -79,21 +79,6 @@ def test_fleet_smoke_meets_issue_floor():
     assert result["nodes"] >= 64
     assert result["keys_per_cycle"] >= 100_000
     assert result["wall_s"] < FLEET_WALL_BUDGET_S
-
-
-def test_compare_entries_gate():
-    base = {
-        "label": "base",
-        "scenarios": {"plain-month": {"events_per_s": 1000.0}},
-    }
-    fast = {"scenarios": {"plain-month": {"events_per_s": 900.0}}}
-    slow = {"scenarios": {"plain-month": {"events_per_s": 700.0}}}
-    novel = {"scenarios": {"new-scenario": {"events_per_s": 1.0}}}
-    assert compare_entries(fast, base) == []
-    failures = compare_entries(slow, base)
-    assert len(failures) == 1 and "plain-month" in failures[0]
-    # unknown scenarios never fail against old baselines
-    assert compare_entries(novel, base) == []
 
 
 def test_bench_file_has_pre_and_post_entries():

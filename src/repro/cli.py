@@ -27,6 +27,12 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.analysis.benchgate import (
+    GATES,
+    add_gate_args,
+    apply_gate,
+    render_gate,
+)
 from repro.analysis.tables import render_table
 
 
@@ -159,28 +165,9 @@ def _cmd_fig5(args) -> int:
 
 def _cmd_fig9(args) -> int:
     from repro.analysis.stats import pearson_correlation
-    from repro.bifrost.channels import TopologyConfig
-    from repro.core.config import DirectLoadConfig
-    from repro.core.directload import DirectLoad
-    from repro.mint.cluster import MintConfig
     from repro.workloads.month import MonthlyTrace, MonthlyTraceConfig
 
-    system = DirectLoad(
-        DirectLoadConfig(
-            doc_count=80,
-            vocabulary_size=300,
-            doc_length=20,
-            summary_value_bytes=1024,
-            forward_value_bytes=256,
-            slice_bytes=32 * 1024,
-            generation_window_s=5.0,
-            topology=TopologyConfig(backbone_bps=100_000.0),
-            mint=MintConfig(
-                group_count=1, nodes_per_group=3,
-                node_capacity_bytes=64 * 1024 * 1024,
-            ),
-        )
-    )
+    system = _make_month_system(backbone_bps=100_000.0)
     system.run_update_cycle()
     days = []
     ratios, times = [], []
@@ -216,12 +203,13 @@ def _cmd_fig9(args) -> int:
     return 0
 
 
-def _make_month_system():
-    """A small generation-window-bound DirectLoad for ``repro month``.
+def _make_month_system(backbone_bps: float = 1_000_000.0):
+    """A small DirectLoad for ``repro month`` and ``repro fig9``.
 
-    The backbone is fast enough that a version's delivery tail is a
-    fraction of the 5 s generation window — the regime where pipelining
-    generation against delivery actually shortens the month.
+    At the default backbone a version's delivery tail is a fraction of
+    the 5 s generation window — the regime where pipelining generation
+    against delivery actually shortens the month.  fig9's 10x slower
+    backbone makes delivery dominate, so update time tracks dedup.
     """
     from repro.bifrost.channels import TopologyConfig
     from repro.core.config import DirectLoadConfig
@@ -237,7 +225,7 @@ def _make_month_system():
             forward_value_bytes=256,
             slice_bytes=32 * 1024,
             generation_window_s=5.0,
-            topology=TopologyConfig(backbone_bps=1_000_000.0),
+            topology=TopologyConfig(backbone_bps=backbone_bps),
             mint=MintConfig(
                 group_count=1, nodes_per_group=3,
                 node_capacity_bytes=64 * 1024 * 1024,
@@ -425,7 +413,7 @@ def _cmd_observe(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    from repro.workloads.perf import compare_entries, run_perf
+    from repro.workloads.perf import run_perf
 
     entry = run_perf(
         scenarios=args.scenario or None,
@@ -437,49 +425,8 @@ def _cmd_perf(args) -> int:
         fleet_groups=args.fleet_groups,
         fleet_nodes_per_group=args.fleet_nodes,
     )
-    failures: List[str] = []
-    if args.check:
-        with open(args.check) as handle:
-            bench = json.load(handle)
-        entries = bench.get("entries") or []
-        if args.baseline_label:
-            entries = [
-                e for e in entries if e.get("label") == args.baseline_label
-            ]
-        if not entries:
-            wanted = (
-                f" labelled {args.baseline_label!r}"
-                if args.baseline_label
-                else ""
-            )
-            failures.append(f"{args.check} has no baseline entries{wanted}")
-        else:
-            failures = compare_entries(
-                entry, entries[-1], min_ratio=args.min_ratio
-            )
-    if args.out:
-        try:
-            with open(args.out) as handle:
-                bench = json.load(handle)
-        except FileNotFoundError:
-            bench = {
-                "benchmark": "kernel",
-                "units": {
-                    "events_per_s": "kernel events per wall second",
-                    "sim_s_per_wall_s": "simulated seconds per wall second",
-                },
-                "entries": [],
-            }
-        bench["entries"].append(entry)
-        with open(args.out, "w") as handle:
-            json.dump(bench, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     data = dict(entry)
-    if args.check:
-        data["baseline"] = args.check
-        data["regressions"] = failures
-    if args.out:
-        data["out"] = args.out
+    failures = apply_gate("kernel", entry, data, args)
 
     def render(data: dict) -> None:
         rows = [
@@ -508,74 +455,18 @@ def _cmd_perf(args) -> int:
                 f"{fleet['wall_s']:.2f}s wall "
                 f"({fleet['events_per_s']:,.0f} events/s)"
             )
-        if "regressions" in data:
-            if data["regressions"]:
-                print(f"\nREGRESSION vs {data['baseline']}:")
-                for line in data["regressions"]:
-                    print(f"  {line}")
-            else:
-                print(f"\nno regression vs {data['baseline']}")
-        if "out" in data:
-            print(f"\nappended entry {data['label']!r} to {data['out']}")
+        render_gate(data, data["label"])
 
     _emit(args, data, render)
     return 1 if failures else 0
 
 
 def _cmd_bandwidth(args) -> int:
-    from repro.workloads.bandwidth import (
-        compare_bandwidth_entries,
-        run_bandwidth,
-    )
+    from repro.workloads.bandwidth import run_bandwidth
 
     entry = run_bandwidth(days=args.days, label=args.label)
-    failures: List[str] = []
-    if args.check:
-        with open(args.check) as handle:
-            bench = json.load(handle)
-        entries = bench.get("entries") or []
-        if args.baseline_label:
-            entries = [
-                e for e in entries if e.get("label") == args.baseline_label
-            ]
-        if not entries:
-            wanted = (
-                f" labelled {args.baseline_label!r}"
-                if args.baseline_label
-                else ""
-            )
-            failures.append(f"{args.check} has no baseline entries{wanted}")
-        else:
-            failures = compare_bandwidth_entries(
-                entry, entries[-1], min_ratio=args.min_ratio
-            )
-    if args.out:
-        try:
-            with open(args.out) as handle:
-                bench = json.load(handle)
-        except FileNotFoundError:
-            bench = {
-                "benchmark": "bandwidth",
-                "units": {
-                    "wire_reduction_ratio": (
-                        "fraction of wire bytes removed beyond dedup alone"
-                    ),
-                    "hash_ratio": (
-                        "naive over tiered full hashes during audits"
-                    ),
-                },
-                "entries": [],
-            }
-        bench["entries"].append(entry)
-        with open(args.out, "w") as handle:
-            json.dump(bench, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     data = dict(entry)
-    if args.check:
-        data["baseline"] = args.check
-        data["regressions"] = failures
-    if args.out:
-        data["out"] = args.out
+    failures = apply_gate("bandwidth", entry, data, args)
 
     def render(data: dict) -> None:
         rows = [
@@ -614,15 +505,7 @@ def _cmd_bandwidth(args) -> int:
             f"{audit['tiered_hashes_per_slice']:.1f} hashes/slice "
             f"(log2 bound {audit['log2_bound_per_slice']})"
         )
-        if "regressions" in data:
-            if data["regressions"]:
-                print(f"\nREGRESSION vs {data['baseline']}:")
-                for line in data["regressions"]:
-                    print(f"  {line}")
-            else:
-                print(f"\nno regression vs {data['baseline']}")
-        if "out" in data:
-            print(f"\nappended entry {data['label']!r} to {data['out']}")
+        render_gate(data, data["label"])
 
     _emit(args, data, render)
     return 1 if failures else 0
@@ -633,7 +516,6 @@ def _cmd_serve(args) -> int:
     from repro.workloads.serving import (
         FlashCrowdConfig,
         ServingWorkloadConfig,
-        compare_serving_entries,
         run_serving_bench,
     )
 
@@ -656,48 +538,8 @@ def _cmd_serve(args) -> int:
         seed=args.seed,
     )
     entry = run_serving_bench(label=args.label or "run", workload=workload)
-
-    failures: List[str] = []
-    if args.check:
-        with open(args.check) as handle:
-            bench = json.load(handle)
-        entries = bench.get("entries") or []
-        if args.baseline_label:
-            entries = [
-                e for e in entries if e.get("label") == args.baseline_label
-            ]
-        baseline = entries[-1] if entries else None
-        failures = compare_serving_entries(
-            entry, baseline, min_ratio=args.min_ratio
-        )
-        if baseline is None:
-            failures.append(f"{args.check} has no baseline entries")
-    if args.out:
-        try:
-            with open(args.out) as handle:
-                bench = json.load(handle)
-        except FileNotFoundError:
-            bench = {
-                "benchmark": "serving",
-                "units": {
-                    "keys_per_device_s": (
-                        "reads served per simulated device-second"
-                    ),
-                    "speedup": "batched over per-key read throughput",
-                    "latency": "simulated seconds, admitted requests only",
-                },
-                "entries": [],
-            }
-        bench["entries"].append(entry)
-        with open(args.out, "w") as handle:
-            json.dump(bench, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     data = dict(entry)
-    if args.check:
-        data["baseline"] = args.check
-        data["regressions"] = failures
-    if args.out:
-        data["out"] = args.out
+    failures = apply_gate("serving", entry, data, args)
 
     def render(data: dict) -> None:
         ablation = data["ablation"]
@@ -729,15 +571,7 @@ def _cmd_serve(args) -> int:
             f"({'met' if fleet['slo_met'] else 'MISSED'}); "
             f"{data['workload']['achieved_qps']:,.0f} qps achieved"
         )
-        if "regressions" in data:
-            if data["regressions"]:
-                print(f"\nREGRESSION vs {data['baseline']}:")
-                for line in data["regressions"]:
-                    print(f"  {line}")
-            else:
-                print(f"\nno regression vs {data['baseline']}")
-        if "out" in data:
-            print(f"\nappended entry {data['label']!r} to {data['out']}")
+        render_gate(data, data["label"])
 
     _emit(args, data, render)
     return 1 if failures else 0
@@ -956,7 +790,6 @@ def _cmd_rebalance(args) -> int:
     from repro.workloads.rebalance import (
         RebalanceConfig,
         bench_entry,
-        compare_rebalance_entries,
         run_rebalance,
     )
 
@@ -971,58 +804,8 @@ def _cmd_rebalance(args) -> int:
     result = run_rebalance(config)
     data = dict(result.data)
     entry = bench_entry(data, label=args.label)
-    failures: List[str] = []
-    if args.check:
-        with open(args.check) as handle:
-            bench = json.load(handle)
-        entries = bench.get("entries") or []
-        if args.baseline_label:
-            entries = [
-                e for e in entries if e.get("label") == args.baseline_label
-            ]
-        if not entries:
-            wanted = (
-                f" labelled {args.baseline_label!r}"
-                if args.baseline_label
-                else ""
-            )
-            failures.append(f"{args.check} has no baseline entries{wanted}")
-        else:
-            failures = compare_rebalance_entries(
-                entry, entries[-1], min_ratio=args.min_ratio
-            )
-    if args.out:
-        try:
-            with open(args.out) as handle:
-                bench = json.load(handle)
-        except FileNotFoundError:
-            bench = {
-                "benchmark": "rebalance",
-                "units": {
-                    "bytes_moved": (
-                        "payload bytes copied by the migrator, including "
-                        "dedup chain bases"
-                    ),
-                    "move_duration_s": (
-                        "summed simulated seconds of topology operations"
-                    ),
-                    "read_p99_during_move_s": (
-                        "p99 read service time (simulated seconds) for "
-                        "probes issued while a migration was in flight"
-                    ),
-                },
-                "entries": [],
-            }
-        bench["entries"].append(entry)
-        with open(args.out, "w") as handle:
-            json.dump(bench, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     data["entry"] = entry
-    if args.check:
-        data["baseline"] = args.check
-        data["regressions"] = failures
-    if args.out:
-        data["out"] = args.out
+    failures = apply_gate("rebalance", entry, data, args)
 
     def render(data: dict) -> None:
         entry = data["entry"]
@@ -1070,30 +853,13 @@ def _cmd_rebalance(args) -> int:
                 f"{faults['node_restarts']} restart(s), "
                 f"{faults['repair_keys']} keys re-replicated"
             )
-        contracts = [
-            ("zero acknowledged-key loss", entry["zero_loss"]),
-            ("fully replicated at rest", entry["under_replicated_final"] == 0),
-            ("byte-identical vs static baseline", entry["digests_match"]),
-        ]
-        for name, ok in contracts:
-            print(f"  [{'ok' if ok else 'FAIL'}] {name}")
-        if "regressions" in data:
-            if data["regressions"]:
-                print(f"\nREGRESSION vs {data['baseline']}:")
-                for line in data["regressions"]:
-                    print(f"  {line}")
-            else:
-                print(f"\nno regression vs {data['baseline']}")
-        if "out" in data:
-            print(f"\nappended entry {entry['label']!r} to {data['out']}")
+        for contract in GATES["rebalance"].contracts:
+            mark = "ok" if contract.holds(entry) else "FAIL"
+            print(f"  [{mark}] {contract.name}")
+        render_gate(data, entry["label"])
 
     _emit(args, data, render)
-    contracts_ok = (
-        entry["zero_loss"]
-        and entry["under_replicated_final"] == 0
-        and entry["digests_match"]
-    )
-    return 0 if contracts_ok and not failures else 1
+    return 1 if failures else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1166,31 +932,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--tracing", action="store_true",
         help="run with tracing enabled instead of the null-tracer path",
     )
-    perf.add_argument(
-        "--label", default=None,
-        help="entry label recorded with --out (e.g. post-refactor)",
-    )
-    perf.add_argument(
-        "--out", default=None,
-        help="append this run as an entry to the given BENCH_kernel.json",
-    )
-    perf.add_argument(
-        "--check", default=None,
-        help="compare events/sec against the last entry of this baseline "
-        "file; exit 1 on regression",
-    )
-    perf.add_argument(
-        "--min-ratio", type=float, default=0.8,
-        help="regression gate: fail below this fraction of baseline "
-        "events/sec (default 0.8 = fail on >20%% regression)",
-    )
-    perf.add_argument(
-        "--baseline-label", default=None,
-        help="gate against the last --check entry with this label "
-        "instead of the file's last entry (CI uses the pre-refactor "
-        "entry: absolute events/sec varies across runner hardware, so "
-        "gating against a fast machine's best-of-8 would flake)",
-    )
+    add_gate_args(perf, "kernel")
 
     bandwidth = commands.add_parser(
         "bandwidth",
@@ -1201,28 +943,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--days", type=int, default=4,
         help="changed-value-heavy cycles after the bootstrap",
     )
-    bandwidth.add_argument(
-        "--label", default=None,
-        help="entry label recorded with --out (e.g. post-encoding)",
-    )
-    bandwidth.add_argument(
-        "--out", default=None,
-        help="append this run as an entry to the given BENCH_bandwidth.json",
-    )
-    bandwidth.add_argument(
-        "--check", default=None,
-        help="gate against the last entry of this baseline file; "
-        "exit 1 on regression",
-    )
-    bandwidth.add_argument(
-        "--min-ratio", type=float, default=0.8,
-        help="regression gate: fail below this fraction of the baseline "
-        "wire_reduction_ratio / audit hash_ratio",
-    )
-    bandwidth.add_argument(
-        "--baseline-label", default=None,
-        help="gate against the last --check entry with this label",
-    )
+    add_gate_args(bandwidth, "bandwidth")
 
     serve = commands.add_parser(
         "serve",
@@ -1263,28 +984,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="optional chaos plan injected during the run",
     )
     serve.add_argument("--seed", type=int, default=23)
-    serve.add_argument(
-        "--label", default=None,
-        help="entry label recorded with --out (e.g. post-batching)",
-    )
-    serve.add_argument(
-        "--out", default=None,
-        help="append this run as an entry to the given BENCH_serving.json",
-    )
-    serve.add_argument(
-        "--check", default=None,
-        help="gate against the last entry of this baseline file; "
-        "exit 1 on regression or a failed absolute check",
-    )
-    serve.add_argument(
-        "--min-ratio", type=float, default=0.8,
-        help="relative gate: fail below this fraction of baseline "
-        "batched keys/device-s",
-    )
-    serve.add_argument(
-        "--baseline-label", default=None,
-        help="gate against the last --check entry with this label",
-    )
+    add_gate_args(serve, "serving")
 
     chaos = commands.add_parser(
         "chaos", help="an update cycle under a fault plan + recovery audit"
@@ -1389,28 +1089,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--records-per-s", type=float, default=2000.0,
         help="migration copy budget in records per simulated second",
     )
-    rebalance.add_argument(
-        "--label", default=None,
-        help="entry label recorded with --out (e.g. post-elastic)",
-    )
-    rebalance.add_argument(
-        "--out", default=None,
-        help="append this run as an entry to the given BENCH_rebalance.json",
-    )
-    rebalance.add_argument(
-        "--check", default=None,
-        help="gate against the last entry of this baseline file; "
-        "exit 1 on contract breach or regression",
-    )
-    rebalance.add_argument(
-        "--min-ratio", type=float, default=0.8,
-        help="regression gate: fail when bytes moved, move duration, or "
-        "mid-move read p99 exceed baseline / min-ratio",
-    )
-    rebalance.add_argument(
-        "--baseline-label", default=None,
-        help="gate against the last --check entry with this label",
-    )
+    add_gate_args(rebalance, "rebalance")
 
     for sub in (
         demo, fig5, fig9, month, dedup_sweep, report, observe, perf,

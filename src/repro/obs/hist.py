@@ -4,11 +4,11 @@ A :class:`LogHistogram` spreads samples across geometrically growing
 buckets: bucket ``i`` covers ``(min_value * growth**(i-1),
 min_value * growth**i]``, so relative resolution is constant —
 ``growth - 1`` (2% by default) — from microseconds to hours in ~1200
-``int`` slots.  That buys three things the exact/streaming
+``int`` slots.  That buys three things the exact
 :class:`~repro.core.metrics.PercentileTracker` cannot offer together:
 
-* **fixed memory** regardless of sample count (no reservoir, no
-  sampling error that depends on the seed);
+* **fixed memory** regardless of sample count (no sampling error that
+  depends on a seed);
 * **mergeability** — two histograms with the same geometry add
   bucket-wise, so per-replica latency distributions aggregate into a
   fleet distribution without shipping samples;
@@ -17,7 +17,7 @@ min_value * growth**i]``, so relative resolution is constant —
   ``>=`` the exact nearest-rank percentile and within one bucket width
   (a factor of ``growth``) of it.
 
-The mean stays exact either way (running sum).  The API mirrors
+The mean is exact (running sum).  The API mirrors
 ``PercentileTracker`` (``add``/``extend``/``percentile``/``quantiles``/
 ``summary``/``len``) so it drops into the serving SLO path unchanged.
 """
@@ -25,7 +25,7 @@ The mean stays exact either way (running sum).  The API mirrors
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigError
 
@@ -228,14 +228,5 @@ class LogHistogram:
         histogram._count = int(data.get("count", 0))
         histogram._sum = float(data.get("sum", 0.0))
         return histogram
-
-    def nonzero_buckets(self) -> List[Tuple[float, int]]:
-        """(upper_bound, count) for every touched bucket, in order."""
-        return [
-            (self._upper(index), count)
-            for index, count in enumerate(self._counts)
-            if count
-        ]
-
 
 __all__ = ["LogHistogram"]

@@ -24,9 +24,11 @@ from repro.obs.tracer import Tracer
 def observe_config():
     """A small fleet that still exercises every pipeline stage.
 
-    Two regions' worth of data centers, three-node groups, chunked dedup
-    on — large enough that transmit, ingest, GC, and gray release all
-    fire, small enough to finish in seconds of wall time.
+    The default topology (three regions, two data centers each),
+    one three-node group per data center and whole-value dedup (the
+    default ``dedup_mode``) — large enough that transmit, ingest, GC,
+    and gray release all fire, small enough to finish in seconds of
+    wall time.
     """
     from repro.core.config import DirectLoadConfig
     from repro.mint.cluster import MintConfig

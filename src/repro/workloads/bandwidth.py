@@ -21,8 +21,9 @@ the full-stack arm: full cryptographic hashes per audited slice under
 the tiered audit (O(log n) sampling + Merkle paths) vs the naive
 re-hash-everything baseline (O(n)).
 
-``repro bandwidth`` is the CLI front end; ``compare_bandwidth_entries``
-implements the CI regression gate against ``BENCH_bandwidth.json``.
+``repro bandwidth`` is the CLI front end; its CI regression gate against
+``BENCH_bandwidth.json`` is the ``bandwidth`` spec in
+:mod:`repro.analysis.benchgate`.
 """
 
 from __future__ import annotations
@@ -243,48 +244,10 @@ def run_bandwidth(
     return entry
 
 
-def compare_bandwidth_entries(
-    current: Dict[str, object],
-    baseline: Dict[str, object],
-    min_ratio: float = 0.8,
-) -> List[str]:
-    """The CI regression gate for the bandwidth bench.
-
-    Fails when the beyond-dedup wire reduction falls below ``min_ratio``
-    of the baseline's, when delivered contents stop being byte-identical
-    across arms, or when the tiered audit loses its hashing advantage.
-    """
-    failures: List[str] = []
-    base_reduction = baseline.get("wire_reduction_ratio", 0.0)
-    reduction = current.get("wire_reduction_ratio", 0.0)
-    if base_reduction and reduction < min_ratio * base_reduction:
-        failures.append(
-            f"wire_reduction_ratio {reduction:.4f} is below "
-            f"{min_ratio:.0%} of baseline {base_reduction:.4f} "
-            f"(label {baseline.get('label')!r})"
-        )
-    if not current.get("delivered_digest_match", False):
-        failures.append(
-            "delivered contents are not byte-identical across arms "
-            "(delivered_digest_match is false)"
-        )
-    audit = current.get("audit", {})
-    base_audit = baseline.get("audit", {})
-    base_hash_ratio = base_audit.get("hash_ratio", 0.0)
-    hash_ratio = audit.get("hash_ratio", 0.0)
-    if base_hash_ratio and hash_ratio < min_ratio * base_hash_ratio:
-        failures.append(
-            f"audit hash_ratio {hash_ratio:.2f} is below "
-            f"{min_ratio:.0%} of baseline {base_hash_ratio:.2f}"
-        )
-    return failures
-
-
 __all__ = [
     "ARM_NAMES",
     "HEAVY_RATES",
     "build_bandwidth_system",
-    "compare_bandwidth_entries",
     "fleet_digest",
     "month_rates",
     "run_arm",

@@ -15,7 +15,8 @@ checks fleet-scale months stay affordable.  Each scenario reports:
 System construction is excluded from the timed region (it is one-time
 setup); corpus generation and delivery are included because they are
 what a real month run spends.  ``repro perf`` is the CLI front end;
-``compare_entries`` implements the CI regression gate.
+its CI regression gate is the ``kernel`` spec in
+:mod:`repro.analysis.benchgate`.
 """
 
 from __future__ import annotations
@@ -295,38 +296,9 @@ def run_fleet_smoke(
     }
 
 
-def compare_entries(
-    current: Dict[str, object],
-    baseline: Dict[str, object],
-    min_ratio: float = 0.8,
-) -> List[str]:
-    """The CI regression gate: events/sec must hold ``min_ratio``.
-
-    Returns human-readable failure lines (empty means the gate passes).
-    Scenarios present in only one entry are skipped — adding a scenario
-    must not retroactively fail old baselines.
-    """
-    failures: List[str] = []
-    base_scenarios = baseline.get("scenarios", {})
-    for name, current_result in current.get("scenarios", {}).items():
-        base_result = base_scenarios.get(name)
-        if not base_result:
-            continue
-        base_rate = base_result.get("events_per_s", 0.0)
-        rate = current_result.get("events_per_s", 0.0)
-        if base_rate and rate < min_ratio * base_rate:
-            failures.append(
-                f"{name}: {rate:.1f} events/s is below "
-                f"{min_ratio:.0%} of baseline {base_rate:.1f} "
-                f"(label {baseline.get('label')!r})"
-            )
-    return failures
-
-
 __all__ = [
     "SCENARIO_NAMES",
     "build_perf_system",
-    "compare_entries",
     "run_fleet_smoke",
     "run_perf",
     "run_scenario",

@@ -438,57 +438,11 @@ def run_serving_bench(
     }
 
 
-def compare_serving_entries(
-    current: Dict[str, object],
-    baseline: Optional[Dict[str, object]],
-    min_ratio: float = 0.8,
-    min_speedup: float = 3.0,
-) -> List[str]:
-    """The serving CI gate.
-
-    Absolute checks on ``current`` (digest equality, batched speedup,
-    SLO) always apply; the relative throughput check runs only when a
-    ``baseline`` entry exists.  All numbers are simulated-time metrics,
-    so the gate is deterministic.
-    """
-    failures: List[str] = []
-    ablation = current.get("ablation", {})
-    if not ablation.get("digests_match", False):
-        failures.append("ablation arms returned different bytes")
-    speedup = ablation.get("speedup", 0.0)
-    if speedup < min_speedup:
-        failures.append(
-            f"batched read speedup {speedup:.2f}x is below the "
-            f"{min_speedup:.1f}x floor"
-        )
-    serving = current.get("serving", {}).get("fleet", {})
-    if serving and not serving.get("slo_met", False):
-        failures.append(
-            f"admitted p99 {serving.get('p99_s')}s exceeds the "
-            f"{serving.get('slo_p99_s')}s SLO"
-        )
-    if baseline:
-        base = (
-            baseline.get("ablation", {})
-            .get("batched", {})
-            .get("keys_per_device_s", 0.0)
-        )
-        rate = ablation.get("batched", {}).get("keys_per_device_s", 0.0)
-        if base and rate < min_ratio * base:
-            failures.append(
-                f"batched throughput {rate:.1f} keys/device-s is below "
-                f"{min_ratio:.0%} of baseline {base:.1f} "
-                f"(label {baseline.get('label')!r})"
-            )
-    return failures
-
-
 __all__ = [
     "FlashCrowdConfig",
     "ServingRunResult",
     "ServingWorkloadConfig",
     "build_serving_system",
-    "compare_serving_entries",
     "run_multiget_ablation",
     "run_serving",
     "run_serving_bench",

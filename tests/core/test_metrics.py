@@ -39,6 +39,14 @@ def test_percentile_tracker_summary():
     assert set(summary) == {"avg", "p99", "p999"}
 
 
+def test_exact_mode_unchanged_by_default():
+    tracker = PercentileTracker()
+    tracker.extend(float(i) for i in range(1, 101))
+    assert len(tracker) == 100
+    assert tracker.percentile(50) == 50.0
+    assert tracker.quantiles()["count"] == 100.0
+
+
 def test_percentile_edge_cases():
     tracker = PercentileTracker()
     assert tracker.mean == 0.0

@@ -4,12 +4,12 @@ import json
 
 import pytest
 
+from repro.analysis.benchgate import GATES
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.workloads.rebalance import (
     RebalanceConfig,
     bench_entry,
-    compare_rebalance_entries,
     run_rebalance,
 )
 
@@ -81,34 +81,38 @@ def test_bench_entry_distils_the_report(small_run):
     assert entry["move_duration_s"] > 0
 
 
-def test_gate_passes_identical_entries(small_run):
+def gate(entry, baseline, tmp_path):
+    bench = tmp_path / "BENCH_rebalance.json"
+    bench.write_text(json.dumps({"entries": [baseline]}))
+    return GATES["rebalance"].check(entry, str(bench))
+
+
+def test_gate_passes_identical_entries(small_run, tmp_path):
     entry = bench_entry(small_run.data)
-    assert compare_rebalance_entries(entry, dict(entry)) == []
+    assert gate(entry, dict(entry), tmp_path) == []
 
 
-def test_gate_fails_broken_contracts_and_regressions(small_run):
+def test_gate_fails_broken_contracts_and_regressions(small_run, tmp_path):
     baseline = bench_entry(small_run.data)
 
     broken = dict(baseline, zero_loss=False)
     assert any(
-        "zero_loss" in line
-        for line in compare_rebalance_entries(broken, baseline)
+        "zero_loss" in line for line in gate(broken, baseline, tmp_path)
     )
     diverged = dict(baseline, digests_match=False)
-    assert compare_rebalance_entries(diverged, baseline)
+    assert gate(diverged, baseline, tmp_path)
     degraded = dict(baseline, under_replicated_final=2)
-    assert compare_rebalance_entries(degraded, baseline)
+    assert gate(degraded, baseline, tmp_path)
     # movement regression: 2x the baseline bytes fails the 0.8 gate
     bloated = dict(baseline, bytes_moved=baseline["bytes_moved"] * 2)
     assert any(
-        "bytes_moved" in line
-        for line in compare_rebalance_entries(bloated, baseline)
+        "bytes_moved" in line for line in gate(bloated, baseline, tmp_path)
     )
     # but a within-ratio wobble passes
     wobble = dict(
         baseline, bytes_moved=int(baseline["bytes_moved"] * 1.1)
     )
-    assert compare_rebalance_entries(wobble, baseline) == []
+    assert gate(wobble, baseline, tmp_path) == []
 
 
 def test_config_validation():

@@ -6,12 +6,12 @@ import json
 
 import pytest
 
+from repro.analysis.benchgate import GATES
 from repro.errors import ConfigError
 from repro.serving import ServingConfig
 from repro.workloads.serving import (
     FlashCrowdConfig,
     ServingWorkloadConfig,
-    compare_serving_entries,
     run_multiget_ablation,
     run_serving,
 )
@@ -109,14 +109,15 @@ def entry(speedup=4.0, digests=True, slo=True, batched_rate=60_000.0):
     }
 
 
-def test_compare_serving_entries_gates():
-    assert compare_serving_entries(entry(), entry()) == []
-    assert compare_serving_entries(entry(speedup=2.0), None)
-    assert compare_serving_entries(entry(digests=False), None)
-    assert compare_serving_entries(entry(slo=False), None)
-    failures = compare_serving_entries(
-        entry(batched_rate=10_000.0), entry(batched_rate=60_000.0)
-    )
+def test_compare_serving_entries_gates(tmp_path):
+    gate = GATES["serving"]
+    bench = tmp_path / "BENCH_serving.json"
+    bench.write_text(json.dumps({"entries": [entry()]}))
+    assert gate.check(entry(), str(bench)) == []
+    assert gate.check(entry(speedup=2.0))
+    assert gate.check(entry(digests=False))
+    assert gate.check(entry(slo=False))
+    failures = gate.check(entry(batched_rate=10_000.0), str(bench))
     assert any("below" in line for line in failures)
 
 
