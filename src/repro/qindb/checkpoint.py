@@ -187,6 +187,7 @@ def recover(
     engine._sequence = 0
     engine.latest_checkpoint = None
     engine._bytes_at_last_checkpoint = 0
+    engine.trace = None
 
     watermark_segment, watermark_size = -1, -1
     if checkpoint is not None and checkpoint_valid:

@@ -46,9 +46,10 @@ class Memtable:
 
     def __init__(self, seed: int = 0x51DB) -> None:
         self._items = SkipListMap(seed=seed)
-        #: (key, version) -> item, mirroring the skip list for O(1) point
-        #: lookups that do *not* model a search (see :meth:`lookup`)
-        self._by_key: Dict[ItemKey, IndexItem] = {}
+        #: (key, version) -> item: the skip list's own value dict, for
+        #: O(1) point lookups that do *not* model a search (see
+        #: :meth:`lookup`)
+        self._by_key: Dict[ItemKey, IndexItem] = self._items.entries
         #: approximate resident bytes (keys + per-item overhead), the ``M``
         #: term in the RUM accounting
         self.approximate_bytes = 0
@@ -71,16 +72,13 @@ class Memtable:
         just became dead), else None.
         """
         item_key: ItemKey = (key, version)
-        # The previous item comes from the mirror dict: the skip-list
-        # insert below performs the one search whose step count the CPU
-        # cost model charges, exactly as before.
         previous = self._by_key.get(item_key)
         item = IndexItem(
             location=location, deduplicated=deduplicated, sequence=sequence
         )
+        # The insert is the one search the CPU cost model charges.
         if self._items.insert(item_key, item):
             self.approximate_bytes += len(key) + 8 + 40
-        self._by_key[item_key] = item
         return previous
 
     def put_batch(
@@ -113,10 +111,6 @@ class Memtable:
         key, stable), skipping the intermediate 5-tuple unpack.
         """
         results = self._items.insert_batch(pairs)
-        # dict.update consumes the (item_key, item) pairs in one C loop;
-        # input order means a duplicated key applies last-writer-wins,
-        # same as the per-item assignment did.
-        self._by_key.update(pairs)
         self.approximate_bytes += sum(
             len(pair[0][0]) + 48
             for pair, result in zip(pairs, results)
@@ -127,13 +121,13 @@ class Memtable:
     def get(self, key: bytes, version: int) -> Optional[IndexItem]:
         """The item for (key, version), or None.
 
-        Performs a real skip-list search so
-        :attr:`last_search_steps` models the lookup's cost.
+        Counts as a skip-list search, so :attr:`last_search_steps`
+        models the lookup's cost.
         """
         return self._items.get((key, version), default=None)
 
     def lookup(self, key: bytes, version: int) -> Optional[IndexItem]:
-        """O(1) point lookup via the mirror dict.
+        """O(1) point lookup via the value dict.
 
         Does NOT touch :attr:`last_search_steps` — for callers that
         validate many items but charge only one search (the batched
@@ -151,7 +145,6 @@ class Memtable:
     def drop(self, key: bytes, version: int) -> None:
         """Remove the item entirely (GC of an unreferenced dead record)."""
         self._items.remove((key, version))
-        del self._by_key[(key, version)]
         self.approximate_bytes -= len(key) + 8 + 40
 
     def resolve(

@@ -1,78 +1,146 @@
 """A skip list (Pugh, CACM 1990) — the paper's memtable data structure.
 
-A probabilistic sorted map with expected O(log n) search, insert, and
-delete, plus ordered traversal from any key.  QinDB keys it by
-``(key_bytes, version)`` so all versions of one key sit adjacent "in the
-order of increasing version numbers", which is what makes GET's traceback
-and GC's referent checks cheap neighbourhood walks.
+A probabilistic sorted map with ordered traversal from any key.  QinDB
+keys it by ``(key_bytes, version)`` so all versions of one key sit
+adjacent "in the order of increasing version numbers", which is what
+makes GET's traceback and GC's referent checks cheap neighbourhood walks.
 
-The level generator is seeded, so structures (and therefore comparison
-counts and simulated search costs) are reproducible.
+Stored as columns, not linked nodes: ``_levels[l]`` is the sorted list
+of keys whose node is taller than ``l``, and one dict maps keys to
+values.  Heights come from the same seeded ``random()`` stream, drawn in
+the same order, as the linked list's, so the columns are its levels and
+each search's ``last_search_steps`` (the linked descent's forward hops
+plus its level count, which the engines charge as CPU time) follows from
+column ranks: a point search hops, per level, over the keys between the
+level-above predecessor and the probe; a sorted batch's finger visits
+every node below its largest key once per level it spans.
+
+Steps are counted lazily, when read: a search records its probe and
+level count.  That is exact because every column change is itself the
+insert or remove of its own probe, which moves no rank below it.  So the
+searches nobody charges cost a dict lookup or one level-0 bisect.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Iterator, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import KeyNotFoundError
 
 MAX_LEVEL = 32
 _P = 0.25
 
+#: "no key" marker: an absent dict entry, or no search waiting to be costed
+_ABSENT = object()
+#: :meth:`SkipListMap.insert_batch`'s result for a fresh key
+_FRESH = (True, None)
 
-class _Node:
-    __slots__ = ("key", "value", "forward")
 
-    def __init__(self, key: Any, value: Any, level: int) -> None:
-        self.key = key
-        self.value = value
-        self.forward: List[Optional["_Node"]] = [None] * level
+def _merged(column: List[Any], keys: List[Any]) -> List[Any]:
+    """``column`` with the ascending ``keys`` (none already in it) merged
+    in: one bisect per key and one slice copy of each gap between them."""
+    if not column:
+        return keys
+    merged: List[Any] = []
+    extend = merged.extend
+    add = merged.append
+    start = 0
+    for key in keys:
+        index = bisect_left(column, key, start)
+        extend(column[start:index])
+        add(key)
+        start = index
+    extend(column[start:])
+    return merged
 
 
 class SkipListMap:
     """A sorted mapping with ordered iteration and neighbour queries."""
 
     def __init__(self, seed: int = 0x51DB) -> None:
-        self._head = _Node(None, None, MAX_LEVEL)
-        self._level = 1
-        self._length = 0
+        #: ``_levels[l]``: sorted keys of the nodes taller than ``l``;
+        #: ``len(_levels)`` is the skip list's level count
+        self._levels: List[List[Any]] = [[]]
+        #: key -> value; reading it directly models no search
+        self.entries: Dict[Any, Any] = {}
         self._random = random.Random(seed)
-        #: comparisons performed by the most recent search, for cost models
-        self.last_search_steps = 0
-        #: sum of every live node's height — lets :meth:`insert_batch`
-        #: compute its charged hop count in closed form (see there)
-        self._total_heights = 0
+        #: bumped whenever the columns change, so a suspended iterator
+        #: knows to re-find its cursor
+        self._changes = 0
+        #: probe -> descent hops on the current columns (reads repeat
+        #: hot keys between writes); emptied by every change
+        self._hops: Dict[Any, int] = {}
+        # last_search_steps == _steps + the hops owed for _probe: the
+        # descent to it (point search) or every key below it (batch)
+        self._steps = 0
+        self._probe: Any = _ABSENT
+        self._probe_batch = False
 
     def __len__(self) -> int:
-        return self._length
+        return len(self.entries)
 
     def __contains__(self, key: Any) -> bool:
-        return self._find(key) is not None
+        self._search(key)
+        return key in self.entries
 
     # ------------------------------------------------------------------
-    def _random_level(self) -> int:
-        level = 1
-        while level < MAX_LEVEL and self._random.random() < _P:
-            level += 1
-        return level
+    @property
+    def last_search_steps(self) -> int:
+        """Comparisons performed by the most recent search (cost model)."""
+        probe = self._probe
+        if probe is not _ABSENT:
+            self._probe = _ABSENT
+            levels = self._levels
+            if self._probe_batch:
+                self._steps += sum(bisect_left(col, probe) for col in levels)
+            else:
+                memo = self._hops
+                hops = memo.get(probe)
+                if hops is None:
+                    hops = self._descent_hops(probe)
+                    if len(memo) > len(self.entries):
+                        memo.clear()
+                    memo[probe] = hops
+                self._steps += hops
+        return self._steps
 
-    def _find_predecessors(self, key: Any) -> List[_Node]:
-        """Per-level nodes after which ``key`` would be inserted."""
-        update: List[_Node] = [self._head] * MAX_LEVEL
-        node = self._head
-        steps = 0
-        level = self._level - 1
-        while level >= 0:
-            next_node = node.forward[level]
-            while next_node is not None and next_node.key < key:
-                node = next_node
-                next_node = node.forward[level]
-                steps += 1
-            update[level] = node
-            level -= 1
-        self.last_search_steps = steps + self._level
-        return update
+    def _descent_hops(self, probe: Any) -> int:
+        """Forward hops of the linked descent to ``probe``'s predecessor.
+
+        Top-down, as the linked descent runs.  The predecessor found on
+        the level above sits in this column too, as the same object: the
+        hops on this level are the keys between it and the probe's rank,
+        found by an identity walk back from that rank.
+        """
+        hops = 0
+        index = 0
+        predecessor: Any = _ABSENT  # the head
+        levels = self._levels
+        for level in range(len(levels) - 1, -1, -1):
+            col = levels[level]
+            index = bisect_left(col, probe, index)
+            if predecessor is _ABSENT:
+                hops += index
+            else:
+                back = index - 1
+                while col[back] is not predecessor:
+                    back -= 1
+                hops += index - 1 - back
+            if index:
+                predecessor = col[index - 1]
+        return hops
+
+    def _changed(self) -> None:
+        self._changes += 1
+        self._hops.clear()
+
+    def _search(self, key: Any) -> None:
+        """Record a point search for ``key``; its hops are counted lazily."""
+        self._steps = len(self._levels)
+        self._probe = key
+        self._probe_batch = False
 
     def charge_steps(self, steps: int) -> None:
         """Add neighbour-walk hops to :attr:`last_search_steps`.
@@ -81,246 +149,195 @@ class SkipListMap:
         single-descent traceback) account the hops here so the cost model
         sees descent + walk as one search.
         """
-        self.last_search_steps += steps
+        self._steps += steps
 
-    def _find(self, key: Any) -> Optional[_Node]:
-        # Same descent (and step accounting) as _find_predecessors, but
-        # point lookups skip materialising the 32-slot update list.
-        node = self._head
-        steps = 0
-        level = self._level - 1
-        while level >= 0:
-            next_node = node.forward[level]
-            while next_node is not None and next_node.key < key:
-                node = next_node
-                next_node = node.forward[level]
-                steps += 1
-            level -= 1
-        self.last_search_steps = steps + self._level
-        node = node.forward[0]
-        if node is not None and node.key == key:
-            return node
-        return None
+    def _random_level(self) -> int:
+        level = 1
+        while level < MAX_LEVEL and self._random.random() < _P:
+            level += 1
+        return level
+
+    def _stack(self, key: Any, low: int, height: int) -> None:
+        """Add ``key`` to the columns of levels ``low`` to ``height - 1``."""
+        levels = self._levels
+        while len(levels) < height:
+            levels.append([])
+        for col in levels[low:height]:
+            col.insert(bisect_left(col, key), key)
 
     # ------------------------------------------------------------------
     def insert(self, key: Any, value: Any) -> bool:
         """Insert or replace; returns True if the key was new."""
-        update = self._find_predecessors(key)
-        node = update[0].forward[0]
-        if node is not None and node.key == key:
-            node.value = value
+        self._search(key)
+        entries = self.entries
+        if key in entries:
+            entries[key] = value
             return False
-        level = self._random_level()
-        if level > self._level:
-            self._level = level
-        node = _Node(key, value, level)
-        for i in range(level):
-            node.forward[i] = update[i].forward[i]
-            update[i].forward[i] = node
-        self._length += 1
-        self._total_heights += level
+        self._stack(key, 0, self._random_level())
+        entries[key] = value
+        self._changed()
         return True
 
     def insert_batch(
         self, pairs: List[Tuple[Any, Any]]
     ) -> List[Tuple[bool, Any]]:
-        """Insert ascending ``(key, value)`` pairs, reusing the search
-        finger between adjacent keys.
+        """Insert non-descending ``(key, value)`` pairs in one pass.
 
-        Keys must be non-descending (equal keys replace in order, last
-        writer wins).  Instead of descending from the head for every key,
-        each per-level search resumes from the previous key's predecessor
-        at that level — adjacent keys cost only the hops *between* them,
-        so a sorted batch pays one O(log n) descent plus O(batch span)
-        walk rather than len(batch) full descents.
-
-        Returns one ``(was_new, previous_value)`` per pair
-        (``previous_value`` is None for fresh keys).  The whole batch
-        charges :attr:`last_search_steps` as a single search: total hops
-        plus one descent's level count.
-
-        The charged hop count has a closed form.  A sorted batch's
-        search finger visits every level-``l`` node below the batch's
-        largest key exactly once per level it appears on, so the total
-        is simply the sum of the heights of all nodes (at batch end)
-        whose key precedes the largest batch key.  That lets this method
-        skip the O(span) finger walk entirely: each key is placed with
-        an ordinary O(log n) descent, and the charge comes from the
-        maintained :attr:`_total_heights` minus a short walk over the
-        nodes *past* the largest key — identical ``last_search_steps``
-        to the walked form, without touching the span.
+        Equal keys replace in order (last writer wins).  Returns one
+        ``(was_new, previous_value)`` per pair (``previous_value`` is
+        None for fresh keys).  Fresh keys draw their heights in input
+        order and merge into level 0 in one pass of slices.  The whole
+        batch charges :attr:`last_search_steps` as one fingered search:
+        the heights of the nodes below the largest key plus the level
+        count, both taken after the batch.
         """
+        levels = self._levels
         if not pairs:
-            self.last_search_steps = self._level
+            self._steps = len(levels)
+            self._probe = _ABSENT
             return []
+        entries = self.entries
+        get = entries.get
+        random_fn = self._random.random
         results: List[Tuple[bool, Any]] = []
         append_result = results.append
-        head = self._head
-        update: List[_Node] = [head] * MAX_LEVEL
-        #: per-level search finger: ``nexts[level]`` mirrors
-        #: ``update[level].forward[level]`` so levels whose successor is
-        #: already past the next key cost one cached compare
-        nexts: List[Optional[_Node]] = list(head.forward)
-        previous_key: Any = None
-        # Hot loop: locals bound once per batch.  The inlined level draw
-        # makes the identical sequence of ``random()`` calls the
-        # out-of-line ``_random_level`` would, so seeded structures are
-        # unchanged.
-        random_fn = self._random.random
-        new_node = object.__new__
-        node_cls = _Node
+        fresh: List[Any] = []
+        add_fresh = fresh.append
+        #: (key, height) of the fresh keys taller than one level
+        tall: List[Tuple[Any, int]] = []
+        previous_key = pairs[0][0]
+        misordered = False
         for key, value in pairs:
-            if previous_key is not None and key < previous_key:
-                raise ValueError("insert_batch requires non-descending keys")
-            # Finger walk on levels >= 1 only: level 0 holds ~all nodes,
-            # so fingering it would visit the whole batch span.  Instead
-            # the level-0 predecessor is reached by a short walk from the
-            # nearer of the level-1 predecessor and the previous key's
-            # level-0 predecessor (both provably precede ``key``).
-            #
-            # The walk runs bottom-up and stops at the first level whose
-            # cached successor is already at or past ``key``: finger keys
-            # are nondecreasing in level (each insert writes its own key
-            # into every level it spans, walks only move fingers forward
-            # in key order), so no higher level can need movement either
-            # — its stale ``update`` entry is still the predecessor.
-            top = self._level
-            level = 1
-            while level < top:
-                next_node = nexts[level]
-                if next_node is None or not next_node.key < key:
-                    break
-                node = next_node
-                next_node = node.forward[level]
-                while next_node is not None and next_node.key < key:
-                    node = next_node
-                    next_node = node.forward[level]
-                update[level] = node
-                nexts[level] = next_node
-                level += 1
-            node = update[0]
-            other = update[1]
-            if other is not head and (node is head or node.key < other.key):
-                node = other
-            next_node = node.forward[0]
-            while next_node is not None and next_node.key < key:
-                node = next_node
-                next_node = node.forward[0]
-            update[0] = node
-            if next_node is not None and next_node.key == key:
-                append_result((False, next_node.value))
-                next_node.value = value
+            if key < previous_key:
+                misordered = True
+                break
+            previous = get(key, _ABSENT)
+            if previous is _ABSENT:
+                # The same random() calls _random_level makes, inlined.
+                height = 1
+                while height < MAX_LEVEL and random_fn() < _P:
+                    height += 1
+                add_fresh(key)
+                if height > 1:
+                    tall.append((key, height))
+                append_result(_FRESH)
             else:
-                level = 1
-                while level < MAX_LEVEL and random_fn() < _P:
-                    level += 1
-                if level > self._level:
-                    self._level = level
-                node = new_node(node_cls)
-                node.key = key
-                node.value = value
-                node.forward = forward = [None] * level
-                if level == 1:
-                    # 1 - _P of inserts have height 1; skip the loop.
-                    predecessor = update[0]
-                    forward[0] = predecessor.forward[0]
-                    predecessor.forward[0] = node
-                    nexts[0] = node
-                else:
-                    for i in range(level):
-                        predecessor = update[i]
-                        forward[i] = predecessor.forward[i]
-                        predecessor.forward[i] = node
-                        nexts[i] = node
-                self._length += 1
-                self._total_heights += level
-                append_result((True, None))
+                append_result((False, previous))
+            entries[key] = value
             previous_key = key
-        # Charge the finger-walk hop count in closed form: heights of
-        # everything below the largest key = total heights minus the
-        # tail at or past it.  ``update[0]`` still holds the largest
-        # key's predecessor, so the tail walk starts at that key's node.
-        tail = 0
-        node = update[0].forward[0]
-        while node is not None:
-            tail += len(node.forward)
-            node = node.forward[0]
-        self.last_search_steps = self._total_heights - tail + self._level
+        if misordered:
+            # Keys before the offending pair stay inserted; the previous
+            # search's cost must be settled before the columns change.
+            self.last_search_steps
+        if fresh:
+            # In place: a fresh list would be young, and every young GC
+            # pass would walk all of its references.
+            levels[0][:] = _merged(levels[0], fresh)
+            for key, height in tall:
+                self._stack(key, 1, height)
+            self._changed()
+        if misordered:
+            raise ValueError("insert_batch requires non-descending keys")
+        self._steps = len(levels)
+        self._probe = previous_key
+        self._probe_batch = True
         return results
 
     def get(self, key: Any, default: Any = KeyNotFoundError) -> Any:
         """Look up ``key``; raises :class:`KeyNotFoundError` by default."""
-        node = self._find(key)
-        if node is not None:
-            return node.value
+        self._search(key)
+        value = self.entries.get(key, _ABSENT)
+        if value is not _ABSENT:
+            return value
         if default is KeyNotFoundError:
             raise KeyNotFoundError(f"key not in skip list: {key!r}")
         return default
 
     def remove(self, key: Any) -> Any:
         """Delete ``key`` and return its value; raises if absent."""
-        update = self._find_predecessors(key)
-        node = update[0].forward[0]
-        if node is None or node.key != key:
+        self._search(key)
+        value = self.entries.pop(key, _ABSENT)
+        if value is _ABSENT:
             raise KeyNotFoundError(f"key not in skip list: {key!r}")
-        for i in range(len(node.forward)):
-            if update[i].forward[i] is node:
-                update[i].forward[i] = node.forward[i]
-        while self._level > 1 and self._head.forward[self._level - 1] is None:
-            self._level -= 1
-        self._length -= 1
-        self._total_heights -= len(node.forward)
-        return node.value
+        levels = self._levels
+        for col in levels:
+            index = bisect_left(col, key)
+            if index == len(col) or col[index] != key:
+                break
+            del col[index]
+        while len(levels) > 1 and not levels[-1]:
+            levels.pop()
+        self._changed()
+        return value
 
     # ------------------------------------------------------------------
     # Ordered navigation
     # ------------------------------------------------------------------
+    def _entry(self, col: List[Any], index: int) -> Optional[Tuple[Any, Any]]:
+        if 0 <= index < len(col):
+            key = col[index]
+            return (key, self.entries[key])
+        return None
+
     def first(self) -> Optional[Tuple[Any, Any]]:
         """The smallest (key, value), or None when empty."""
-        node = self._head.forward[0]
-        return None if node is None else (node.key, node.value)
+        return self._entry(self._levels[0], 0)
 
     def floor(self, key: Any) -> Optional[Tuple[Any, Any]]:
         """Greatest entry with ``entry.key <= key``, or None."""
-        update = self._find_predecessors(key)
-        node = update[0].forward[0]
-        if node is not None and node.key == key:
-            return (node.key, node.value)
-        prev = update[0]
-        if prev is self._head:
-            return None
-        return (prev.key, prev.value)
+        self._search(key)
+        col = self._levels[0]
+        return self._entry(col, bisect_right(col, key) - 1)
 
     def lower(self, key: Any) -> Optional[Tuple[Any, Any]]:
         """Greatest entry with ``entry.key < key``, or None."""
-        prev = self._find_predecessors(key)[0]
-        if prev is self._head:
-            return None
-        return (prev.key, prev.value)
+        self._search(key)
+        col = self._levels[0]
+        return self._entry(col, bisect_left(col, key) - 1)
 
     def ceiling(self, key: Any) -> Optional[Tuple[Any, Any]]:
         """Smallest entry with ``entry.key >= key``, or None."""
-        node = self._find_predecessors(key)[0].forward[0]
-        return None if node is None else (node.key, node.value)
+        self._search(key)
+        col = self._levels[0]
+        return self._entry(col, bisect_left(col, key))
 
     # ------------------------------------------------------------------
     # Iteration
     # ------------------------------------------------------------------
+    def _walk(self, start: Any, find) -> Iterator[Tuple[Any, Any]]:
+        """Ascending entries from ``find(level 0, start)``, or from the
+        smallest key when ``start`` is ``_ABSENT``; a search for ``start``
+        is recorded when the walk begins, as the linked list's descent
+        ran on the first step.
+
+        Mutation between steps is allowed: after any change to the
+        columns the cursor is re-found by key, so keys inserted past it
+        are seen and removed ones are not.
+        """
+        entries = self.entries
+        col = self._levels[0]
+        changes = self._changes
+        if start is _ABSENT:
+            index = 0
+        else:
+            self._search(start)
+            index = find(col, start)
+        while index < len(col):
+            key = col[index]
+            yield (key, entries[key])
+            if self._changes == changes:
+                index += 1
+            else:
+                changes = self._changes
+                col = self._levels[0]
+                index = bisect_right(col, key)
+
     def __iter__(self) -> Iterator[Tuple[Any, Any]]:
-        node = self._head.forward[0]
-        while node is not None:
-            yield (node.key, node.value)
-            node = node.forward[0]
+        return self._walk(_ABSENT, None)
 
     def items_from(self, key: Any, inclusive: bool = True) -> Iterator[Tuple[Any, Any]]:
         """Ascending entries starting at ``key`` (or just after it)."""
-        update = self._find_predecessors(key)
-        node = update[0].forward[0]
-        if node is not None and node.key == key and not inclusive:
-            node = node.forward[0]
-        while node is not None:
-            yield (node.key, node.value)
-            node = node.forward[0]
+        return self._walk(key, bisect_left if inclusive else bisect_right)
 
     def range(self, start: Any, end: Any) -> Iterator[Tuple[Any, Any]]:
         """Entries with ``start <= key < end`` in ascending order."""
@@ -330,12 +347,9 @@ class SkipListMap:
             yield (key, value)
 
     def items_before(self, key: Any) -> Iterator[Tuple[Any, Any]]:
-        """Descending entries strictly below ``key``.
-
-        Skip lists have no backward pointers; this walks down one
-        predecessor at a time (an O(log n) search per step), which is fine
-        for the short version chains GET traceback inspects.
-        """
+        """Descending entries strictly below ``key``, one :meth:`lower`
+        search per step (the linked list has no backward pointers, and
+        the step counts model it)."""
         current = key
         while True:
             entry = self.lower(current)

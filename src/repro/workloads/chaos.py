@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import ConfigError, KeyNotFoundError, ReplicationError
 from repro.faults import FaultInjector, FaultPlan

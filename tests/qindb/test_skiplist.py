@@ -1,8 +1,10 @@
-"""Unit + property tests for the skip list."""
+"""Unit + property tests for the skip list, and its equivalence with the
+linked reference model (``reference_skiplist.py``)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_skiplist import LinkedSkipListMap
 
 from repro.errors import KeyNotFoundError
 from repro.qindb.skiplist import SkipListMap
@@ -213,3 +215,121 @@ def test_insert_batch_interleaves_with_existing_keys():
     assert [k for k, _v in sl] == list(range(200))
     assert sl.get(151) == "odd"
     assert sl.get(150) == "even"
+
+
+# ------------------------------------------------- linked reference model
+_END = object()
+_KEYS = st.integers(min_value=0, max_value=60)
+_POINT_OPS = st.tuples(
+    st.sampled_from(["insert", "remove", "get", "floor", "lower"]), _KEYS
+)
+_BATCH_OPS = st.tuples(
+    st.just("insert_batch"),
+    # sorted with repeats: equal adjacent keys replace in order
+    st.lists(_KEYS, max_size=25).map(sorted),
+)
+_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(["insert", "remove"]), _KEYS), _BATCH_OPS
+)
+_OPS = st.one_of(
+    _POINT_OPS,
+    _BATCH_OPS,
+    st.tuples(st.just("drain"), st.booleans()),
+    st.tuples(
+        st.just("items_from"),
+        _KEYS,
+        st.booleans(),
+        st.lists(_MUTATIONS, max_size=6),
+    ),
+)
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except (KeyNotFoundError, ValueError) as exc:
+        return ("raised", type(exc))
+
+
+def _same(column, linked, call):
+    """Run ``call`` on both maps; results and step counts must agree."""
+    result = _outcome(lambda: call(column))
+    assert result == _outcome(lambda: call(linked))
+    assert column.last_search_steps == linked.last_search_steps
+    return result
+
+
+def _apply(column, linked, op, tag):
+    action, arg = op[0], op[1]
+    if action == "insert":
+        _same(column, linked, lambda m: m.insert(arg, tag))
+    elif action == "insert_batch":
+        _same(
+            column,
+            linked,
+            lambda m: m.insert_batch([(k, (tag, i)) for i, k in enumerate(arg)]),
+        )
+    elif action == "remove":
+        _same(column, linked, lambda m: m.remove(arg))
+    elif action == "get":
+        _same(column, linked, lambda m: m.get(arg, default=None))
+    elif action in ("floor", "lower"):
+        _same(column, linked, lambda m: getattr(m, action)(arg))
+
+
+def _walk_with_mutations(column, linked, start, inclusive, mutations, tag):
+    """Step both iterators in lockstep, mutating both between steps.
+
+    A mutation never removes the key the cursor stands on: the linked
+    walk would then follow the removed node's stale forward pointer
+    (and could yield entries removed after it), which the column walk,
+    re-finding its cursor by key, deliberately does not reproduce.
+    """
+    walks = (column.items_from(start, inclusive), linked.items_from(start, inclusive))
+    pending = list(mutations)
+    while True:
+        steps = [next(walk, _END) for walk in walks]
+        assert steps[0] == steps[1]
+        assert column.last_search_steps == linked.last_search_steps
+        if steps[0] is _END:
+            return
+        if pending:
+            op = pending.pop(0)
+            if op[0] == "remove" and op[1] == steps[0][0]:
+                continue
+            _apply(column, linked, op, tag)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(_OPS, max_size=60), seed=st.integers(0, 3))
+def test_columns_match_linked_reference(ops, seed):
+    """Identical results and ``last_search_steps`` after every operation
+    of a random history, so the engines' CPU charges are unchanged."""
+    column, linked = SkipListMap(seed=seed), LinkedSkipListMap(seed=seed)
+    for tag, op in enumerate(ops):
+        if op[0] == "drain":
+            # remove down to empty: the level count shrinks back to one
+            for key, _value in sorted(linked, reverse=op[1]):
+                _apply(column, linked, ("remove", key), tag)
+            assert len(column) == 0
+        elif op[0] == "items_from":
+            _walk_with_mutations(column, linked, op[1], op[2], op[3], tag)
+        else:
+            _apply(column, linked, op, tag)
+        assert list(column) == list(linked)
+        assert len(column) == len(linked)
+    assert column.last_search_steps == linked.last_search_steps
+
+
+def test_misordered_batch_keeps_its_prefix_like_the_reference():
+    column, linked = SkipListMap(seed=1), LinkedSkipListMap(seed=1)
+    for m in (column, linked):
+        for key in range(0, 40, 3):
+            m.insert(key, "old")
+        m.get(21)
+    pairs = [(1, "a"), (9, "b"), (4, "c"), (30, "d")]
+    for m in (column, linked):
+        with pytest.raises(ValueError):
+            m.insert_batch(pairs)
+    assert list(column) == list(linked)
+    assert column.last_search_steps == linked.last_search_steps
